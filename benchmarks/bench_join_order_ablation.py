@@ -23,11 +23,11 @@ from repro.evaluation import (
     evaluate_with_plan,
     execute_plan,
     plan_greedy,
-    plan_in_query_order,
 )
 from repro.workloads.generators import music_store_database
 from repro.workloads.paper_examples import example1_query, example1_tgd
 from conftest import print_series, scaled_sizes
+from helpers.legacy_planners import plan_in_query_order
 
 
 SIZES = scaled_sizes([20, 60, 120], [20])

@@ -1,34 +1,43 @@
-"""ISSUE 10 — morsel-driven parallel kernels, worker-count scaling.
+"""Columnar kernels: vectorisation and worker-count scaling.
 
-The parallel execution layer (:mod:`repro.evaluation.parallel`) hash-shards
-the build side of every ``SemiJoin``/``HashJoin`` and splits probe sides
-into contiguous morsels, so one operator becomes ``P`` independent kernel
-tasks whose results merge back in a deterministic order.  On the numpy
-storage path the sharded kernels are also *vectorised* — ``searchsorted``
-probes and scatter-merges instead of the serial per-row loop — which is
-where the single-machine speedup comes from; threads add scaling on
-multicore hosts on top.
+The columnar kernels (:mod:`repro.evaluation.parallel`) hash-shard the
+build side of every ``SemiJoin``/``HashJoin`` and split probe sides into
+contiguous morsels, so one operator becomes ``P`` independent kernel tasks
+whose results merge back in a deterministic order.  ``workers=1`` runs the
+same kernels with one shard inline.  On the numpy storage path the kernels
+are *vectorised* — ``searchsorted`` probes and scatter-merges instead of a
+per-row loop — at every worker count; threads add scaling on multicore
+hosts on top.  The two effects are reported separately:
+
+* **vectorisation** — numpy vs pure-python ``array('q')`` storage at
+  ``workers=1`` (engine and end-to-end), the gain a serial caller gets;
+* **thread scaling** — ``workers=4`` vs ``workers=1`` on the numpy path,
+  which can only pay on a host with at least 4 CPUs, so the snapshot
+  records ``cpu_count`` next to it.
 
 This benchmark fixes the database (the layered chain workload of
 :func:`repro.workloads.generators.yannakakis_scaling_workload`) and sweeps
-the worker count 1 → 2 → 4 → 8 on both columnar storage paths (numpy and
-pure-python ``array('q')``).  Timed runs interleave the worker counts
-(best-of-``REPEATS`` per count, round-robin) so clock drift hits every
-configuration equally.  Every configuration is cross-checked for
-answer-set equality against workers=1 — the merge must be bit-identical —
-and at the smallest size against the tuple backend, the differential
-oracle for the whole batch face.
+the worker count 1 → 2 → 4 → 8 on both storage paths.  Timed runs
+interleave the worker counts (best-of-``REPEATS`` per count, round-robin)
+so clock drift hits every configuration equally.  Every configuration is
+cross-checked for answer-set equality against workers=1 — the merge must
+be bit-identical — and at the smallest size against the tuple backend, the
+differential oracle for the whole batch face.
 
-Acceptance (ISSUE 10): on the numpy path at the largest non-smoke size,
-4 workers must be ≥ 2× faster than 1 worker.  The asserted metric is
-*engine* time — :meth:`PlanTree.materialize_encoded`, the part the
-parallel layer actually executes — because the output boundary
-(decoding encoded rows into the Python answer-tuple set) is identical
-work in both configurations and would otherwise dilute the ratio with
-host-noise-dominated constant cost.  End-to-end ``evaluate`` times are
-measured and reported alongside.  The committed
+Two times are taken per configuration: *engine* time —
+:meth:`PlanTree.materialize_encoded`, the part the kernels execute — and
+end-to-end ``evaluate`` time, which adds the output boundary (decoding the
+encoded rows into the Python answer-tuple set).  Each timed call starts
+from a collected heap (``gc.collect()`` outside the timer): a full
+collection walks the whole heap and runs in whichever call crosses the
+collector's threshold, so without it the best-of times tracked the
+benchmark's own allocation history (the pure-python engine once timed
+slower than the end-to-end call containing it).  Acceptance at the largest
+non-smoke size: numpy ≥ 2× faster than pure python at ``workers=1``, in
+the engine and end to end, and 4 workers ≥ 2× faster than 1 on the numpy
+path when the host has at least 4 CPUs.  The committed
 ``BENCH_parallel_scaling.json`` records the sweep;
-``tests/test_parallel_exec.py`` pins the committed speedup too, so a
+``tests/test_parallel_exec.py`` pins the committed ratios too, so a
 regression fails CI without re-timing anything.
 
 Run standalone with ``pytest benchmarks/bench_parallel_scaling.py -s``
@@ -40,6 +49,7 @@ executable in CI.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from typing import Dict, List, Sequence
@@ -59,9 +69,14 @@ WORKERS = [1, 2, 4, 8]
 REPEATS = 5
 SEED = 5
 
-#: Acceptance threshold (see ISSUE 10): 4 workers vs 1 on the numpy
-#: columnar path at the largest non-smoke size.
+#: Acceptance threshold: numpy vs pure-python storage at one worker, at
+#: the largest non-smoke size, for engine and end-to-end time alike.
+MIN_VECTORISED_SPEEDUP = 2.0
+
+#: Acceptance threshold: 4 workers vs 1 on the numpy path at the largest
+#: non-smoke size — asserted only on hosts with at least 4 CPUs.
 MIN_PARALLEL_SPEEDUP = 2.0
+MIN_SCALING_CPUS = 4
 
 
 def _sweep(
@@ -100,6 +115,7 @@ def _sweep(
         best_total = {count: float("inf") for count in workers}
         for _ in range(REPEATS):
             for count in workers:
+                gc.collect()
                 start = time.perf_counter()
                 out = engine(count)
                 best[count] = min(best[count], time.perf_counter() - start)
@@ -107,6 +123,7 @@ def _sweep(
                     f"parallel merge not bit-identical at workers={count} "
                     f"(numpy={use_numpy})"
                 )
+                gc.collect()
                 start = time.perf_counter()
                 answers = run(count)
                 best_total[count] = min(
@@ -152,21 +169,20 @@ def test_parallel_worker_scaling():
         for size in SIZES:
             rows.append(_sweep(size, use_numpy))
 
-    # One re-measure before asserting: on shared/noisy hosts the serial
-    # baseline occasionally lands in a different CPU regime than the
-    # parallel runs of the same sweep; a single retry keeps the acceptance
-    # honest (the machine must still demonstrate the speedup) without
-    # flaking on one bad window.
-    if not smoke_mode():
-        for index, row in enumerate(rows):
-            if row["storage"] != "numpy" or row["size"] != max(
-                r["size"] for r in rows
-            ):
-                continue
-            if row["speedups"][4] < MIN_PARALLEL_SPEEDUP:
-                retry = _sweep(SIZES[-1], True)
-                if retry["speedups"][4] > row["speedups"][4]:
-                    rows[index] = retry
+    numpy_rows = [row for row in rows if row["storage"] == "numpy"]
+    cpus = os.cpu_count() or 1
+    if numpy_rows and not smoke_mode() and cpus >= MIN_SCALING_CPUS:
+        # One re-measure before asserting: on shared/noisy hosts the
+        # one-worker baseline occasionally lands in a different CPU regime
+        # than the threaded runs of the same sweep; a single retry keeps
+        # the acceptance honest (the machine must still demonstrate the
+        # speedup) without flaking on one bad window.
+        index = rows.index(max(numpy_rows, key=lambda row: row["size"]))
+        if rows[index]["speedups"][4] < MIN_PARALLEL_SPEEDUP:
+            retry = _sweep(SIZES[-1], True)
+            if retry["speedups"][4] > rows[index]["speedups"][4]:
+                rows[index] = retry
+        numpy_rows = [row for row in rows if row["storage"] == "numpy"]
 
     # Differential oracle: the tuple backend on the smallest workload.
     query, database = yannakakis_scaling_workload(SIZES[0], seed=SEED)
@@ -177,8 +193,9 @@ def test_parallel_worker_scaling():
     assert columnar == tuple_answers
 
     print_series(
-        f"ISSUE 10: parallel worker scaling (workers {WORKERS}, "
-        f"best of {REPEATS}, interleaved; engine = plan materialisation)",
+        f"Columnar kernels: worker scaling (workers {WORKERS}, "
+        f"best of {REPEATS}, interleaved; engine = plan materialisation; "
+        f"cpu_count = {cpus})",
         [
             (
                 row["storage"],
@@ -207,6 +224,7 @@ def test_parallel_worker_scaling():
     )
 
     snapshot = BenchSnapshot("parallel_scaling")
+    snapshot.record("cpu_count", cpus)
     snapshot.record("workers", WORKERS)
     snapshot.record("repeats", REPEATS)
     snapshot.record("sizes", [row["size"] for row in rows])
@@ -225,19 +243,44 @@ def test_parallel_worker_scaling():
                 },
             },
         )
-    numpy_rows = [row for row in rows if row["storage"] == "numpy"]
+    vectorised = None
     if numpy_rows:
         largest = max(numpy_rows, key=lambda row: row["size"])
         snapshot.record("numpy_speedup_at_4", largest["speedups"][4])
         snapshot.record("numpy_e2e_speedup_at_4", largest["e2e_speedups"][4])
+        python_largest = [
+            row
+            for row in rows
+            if row["storage"] == "python" and row["size"] == largest["size"]
+        ]
+        if python_largest:
+            vectorised = (
+                python_largest[0]["times"][1] / largest["times"][1],
+                python_largest[0]["end_to_end"][1] / largest["end_to_end"][1],
+            )
+            snapshot.record("numpy_vs_python_at_1", vectorised[0])
+            snapshot.record("numpy_vs_python_e2e_at_1", vectorised[1])
     snapshot.write()
 
     if smoke_mode():
         return  # tiny inputs are noise-dominated; correctness was checked above
 
-    if numpy_rows:
+    if vectorised is not None:
+        engine, end_to_end = vectorised
+        assert engine >= MIN_VECTORISED_SPEEDUP, (
+            f"numpy storage only {engine:.2f}× faster than pure python at one "
+            f"worker at |D| = {largest['size']} (engine; expected ≥ "
+            f"{MIN_VECTORISED_SPEEDUP}×)"
+        )
+        assert end_to_end >= MIN_VECTORISED_SPEEDUP, (
+            f"numpy storage only {end_to_end:.2f}× faster than pure python at "
+            f"one worker at |D| = {largest['size']} (end to end; expected ≥ "
+            f"{MIN_VECTORISED_SPEEDUP}×)"
+        )
+    if numpy_rows and cpus >= MIN_SCALING_CPUS:
         speedup = largest["speedups"][4]
         assert speedup >= MIN_PARALLEL_SPEEDUP, (
             f"numpy columnar only {speedup:.2f}× faster at 4 workers vs 1 "
-            f"at |D| = {largest['size']} (expected ≥ {MIN_PARALLEL_SPEEDUP}×)"
+            f"at |D| = {largest['size']} (expected ≥ {MIN_PARALLEL_SPEEDUP}× "
+            f"on a {cpus}-CPU host)"
         )

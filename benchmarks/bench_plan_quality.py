@@ -2,9 +2,9 @@
 
 The greedy planner of :mod:`repro.evaluation.join_plans` historically
 scored atoms with a blind 1/10-per-constraint selectivity guess
-(:func:`repro.evaluation.estimate_cardinality`, preserved as
-:func:`repro.evaluation.plan_greedy_heuristic`).  The statistics-calibrated
-cost model (:class:`repro.evaluation.CostModel`: per-column distinct
+(``estimate_cardinality``, preserved with ``plan_greedy_heuristic`` as a
+test-only baseline in ``tests/helpers/legacy_planners.py``).  The
+statistics-calibrated cost model (:class:`repro.evaluation.CostModel`: per-column distinct
 counts, bucket-size histograms, textbook join selectivities) replaced it,
 and the Selinger-style DP planner (:func:`repro.evaluation.plan_dp`) now
 searches bushy join orders over the same model.
@@ -49,11 +49,11 @@ from repro.evaluation import (
     execute_plan,
     plan_dp,
     plan_greedy,
-    plan_greedy_heuristic,
 )
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import fanout_cycles_workload, plan_quality_workload
 from conftest import print_series, scaled_sizes, smoke_mode
+from helpers.legacy_planners import plan_greedy_heuristic
 
 
 FULL_SIZES = [400, 800, 1600, 3200]

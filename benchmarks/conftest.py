@@ -21,8 +21,16 @@ instead of at the next full benchmark run.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# Test-only baselines (``tests/helpers/``, e.g. the legacy planners) are
+# not part of the library; benchmarks import them as ``helpers.*``.
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 def smoke_mode() -> bool:

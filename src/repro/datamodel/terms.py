@@ -19,20 +19,36 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Iterable, List, Set, Union
+from dataclasses import dataclass, field
+from typing import Iterable, List, Set, Tuple, Union
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Constant:
     """A constant from the countably infinite set ``C``.
 
     Constants are rigid: every homomorphism maps a constant to itself.  The
     ``name`` may be any hashable printable value; two constants are equal iff
     their names are equal.
+
+    The hash is the dataclass one, ``hash((name,))``, computed once: every
+    answer set, partition key and fact set hashes constants, and the
+    generated ``__hash__`` rebuilt a tuple on each call.  Slots keep the
+    cached hash from growing the instance.
     """
 
     name: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[type, Tuple[object]]:
+        # Rebuild through __init__: str hashes differ between processes.
+        return Constant, (self.name,)
 
     def __str__(self) -> str:
         return str(self.name)

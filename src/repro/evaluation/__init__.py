@@ -21,11 +21,12 @@ dictionary-encoded integer columns (:mod:`repro.evaluation.encoding`);
 ``backend="columnar"`` (or ``REPRO_BACKEND=columnar``) routes any entry
 point through it, with the tuple backend kept as the differential oracle.
 
-The batch face can additionally run morsel-driven parallel kernels
-(:mod:`repro.evaluation.parallel`): ``parallel=`` on any entry point (or
-``REPRO_PARALLEL``) hash-shards the build sides and splits the probe sides
-into contiguous morsels, with a deterministic merge keeping the answers
-bit-identical to the serial path.
+The batch face's kernels (:mod:`repro.evaluation.parallel`) are
+morsel-driven: serial execution runs them with one shard, and
+``parallel=`` on any entry point (or ``REPRO_PARALLEL``) hash-shards the
+build sides and splits the probe sides into contiguous morsels, with a
+deterministic merge keeping the answers bit-identical at every worker
+count.
 
 Batches of queries over one database go through :func:`evaluate_batch`
 (:mod:`repro.evaluation.batch`), which shares the phase-1 atom scans and
@@ -80,17 +81,13 @@ from .join_plans import (
     PlanTree,
     boolean_with_plan,
     compile_plan,
-    estimate_cardinality,
     estimated_intermediate_sizes,
     evaluate_with_plan,
     execute_plan,
     explain_plan,
     iter_plan_answers,
     iter_with_plan,
-    plan_by_cardinality,
     plan_greedy,
-    plan_greedy_heuristic,
-    plan_in_query_order,
     resolve_planner,
 )
 from .planner_dp import DP_ATOM_LIMIT, DecompositionEvaluator, plan_dp, plan_dp_linear
@@ -161,7 +158,6 @@ __all__ = [
     "boolean_generic",
     "boolean_with_plan",
     "compile_plan",
-    "estimate_cardinality",
     "estimated_intermediate_sizes",
     "evaluate_acyclic",
     "evaluate_batch",
@@ -183,12 +179,9 @@ __all__ = [
     "membership_via_cover_game_egds",
     "membership_via_cover_game_guarded",
     "numpy_enabled",
-    "plan_by_cardinality",
     "plan_dp",
     "plan_dp_linear",
     "plan_greedy",
-    "plan_greedy_heuristic",
-    "plan_in_query_order",
     "query_covers_database",
     "render_plan",
     "resolve_backend",

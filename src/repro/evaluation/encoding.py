@@ -11,11 +11,13 @@ module removes that constant without touching the algorithms:
 * an :class:`EncodedStore` keeps a relation's rows column-wise as
   ``array('q')`` buffers (optionally numpy ``int64`` arrays, see
   :func:`numpy_enabled`) plus the caches shared by schema views;
-* an :class:`EncodedRelation` is the schema-carrying view over a store and
-  mirrors the :class:`~repro.evaluation.relation.Relation` operator API
-  (``semijoin``/``join``/``project``/``select``/``partition``) over int
-  keys, so the operator IR can execute batch-at-a-time and decode only at
-  the output boundary.
+* an :class:`EncodedRelation` is the schema-carrying view over a store.  It
+  mirrors the :class:`~repro.evaluation.relation.Relation` surface the
+  enumeration cursors need (``rows``/``position``/``partition``) and holds
+  the decode boundary; the columnar kernels that select, project, semi-join
+  and join encoded relations live in :mod:`repro.evaluation.parallel`, so
+  the operator IR executes batch-at-a-time and decodes only at the output
+  boundary.
 
 Backend selection is explicit: :func:`resolve_backend` resolves the
 ``backend=`` keyword accepted by every evaluation entry point, falling back
@@ -23,8 +25,8 @@ to the ``REPRO_BACKEND`` environment variable and then to ``"tuple"``.  The
 tuple backend stays the differential oracle; the columnar backend must agree
 with it bit-for-bit on answer sets (see ``tests/test_columnar_backend.py``).
 
-Probe accounting mirrors the tuple engine exactly: :meth:`IntIndex.get`
-(the join-probe path) increments the *same* process-wide
+Probe accounting mirrors the tuple engine exactly: the join kernel counts
+one probe per probe row into the *same* process-wide
 ``Partition.total_probes`` counter, while membership checks (the semi-join
 path) are deliberately uncounted — so the bounded-work assertions in the
 streaming tests and benchmarks hold under either backend.
@@ -32,9 +34,11 @@ streaming tests and benchmarks hold under either backend.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 from array import array
+from contextlib import contextmanager
 from typing import (
     Container,
     Dict,
@@ -64,8 +68,6 @@ IntRow = Tuple[int, ...]
 
 _UNSET = object()
 _NUMPY: object = _UNSET
-
-_EMPTY_BUCKET: Tuple[int, ...] = ()
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -190,43 +192,32 @@ class TermEncoder:
         return sum(1 for term in self.terms if term not in live)
 
 
-class IntIndex:
-    """A hash index from int join keys to row indices of one store.
+_GC_LOCK = threading.Lock()
+_gc_pauses = 0
+_gc_was_enabled = False
 
-    The batch-face analogue of :class:`~repro.evaluation.relation.Partition`:
-    built once per (store, key columns) and cached on the store.  ``get``
-    probes are counted into the *same* process-wide
-    ``Partition.total_probes`` counter the tuple engine uses, so bounded-work
-    assertions span both backends; membership checks (``key in index``, the
-    semi-join path) are deliberately uncounted, mirroring
-    ``Partition.__contains__``.
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for a bulk allocation.
+
+    Reference-counted: concurrent pauses (threads decoding at once) share
+    one pause, and the collector is re-enabled, if it was enabled when the
+    first began, when the last ends.
     """
-
-    __slots__ = ("positions", "buckets", "probes")
-
-    def __init__(self, positions: Tuple[int, ...], keys: Iterable[object]) -> None:
-        self.positions = positions
-        self.probes = 0
-        buckets: Dict[object, List[int]] = {}
-        for index, key in enumerate(keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [index]
-            else:
-                bucket.append(index)
-        self.buckets = buckets
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.buckets
-
-    def __len__(self) -> int:
-        return len(self.buckets)
-
-    def get(self, key: object) -> Sequence[int]:
-        """The row indices carrying ``key`` (empty when none do) — counted."""
-        self.probes += 1
-        Partition.count_probe()
-        return self.buckets.get(key, _EMPTY_BUCKET)
+    global _gc_pauses, _gc_was_enabled
+    with _GC_LOCK:
+        if not _gc_pauses:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _gc_pauses -= 1
+            if not _gc_pauses and _gc_was_enabled:
+                gc.enable()
 
 
 class EncodedStore:
@@ -234,10 +225,10 @@ class EncodedStore:
 
     Mirrors the role row storage plays for :class:`Relation`: a store is
     shared by reference across :meth:`EncodedRelation.with_schema` views,
-    and all caches (row tuples, partitions, int indexes) live here so every
-    view reuses them — caches are positional, never name-dependent.  The
-    usual immutability discipline applies: columns are never mutated after
-    construction.
+    and all caches (row tuples, partitions, packed keys, hash shards) live
+    here so every view reuses them — caches are positional, never
+    name-dependent.  The usual immutability discipline applies: columns are
+    never mutated after construction.
     """
 
     __slots__ = ("columns", "length", "use_numpy", "caches")
@@ -426,161 +417,26 @@ class EncodedRelation:
             self.store.caches[key] = cached
         return cached  # type: ignore[return-value]
 
-    def key_index(self, positions: Sequence[int]) -> IntIndex:
-        """The cached :class:`IntIndex` of row indices by key columns."""
-        positions = tuple(positions)
-        key = ("index", positions)
-        cached = self.store.caches.get(key)
-        if cached is None:
-            cached = IntIndex(positions, self._key_column(positions))
-            self.store.caches[key] = cached
-        return cached  # type: ignore[return-value]
-
     # ------------------------------------------------------------------
-    # Columnar operators
+    # The cross product (the only join without a shared key)
     # ------------------------------------------------------------------
-    def take(
-        self, indices: Sequence[int], schema: Optional[Sequence[Variable]] = None
-    ) -> "EncodedRelation":
-        """Gather the rows at ``indices`` into a fresh relation."""
-        use_numpy = self.store.use_numpy
-        columns = [
-            _take_column(column, indices, use_numpy) for column in self.store.columns
-        ]
-        return self._derive(
-            self.schema if schema is None else schema, columns, len(indices)
-        )
-
-    def select_codes(
-        self, checks: Sequence[Tuple[int, int]]
-    ) -> "EncodedRelation":
-        """Keep the rows whose column at each position equals the given code.
-
-        The vectorized face of ``Relation.select``: one bulk compare per
-        checked column (a numpy mask when enabled, a C-speed comprehension
-        otherwise).
-        """
-        if not checks:
-            return self.fresh_copy()
-        columns = self.store.columns
-        if self.store.use_numpy:
-            numpy = _numpy_module()
-            mask = None
-            for position, code in checks:
-                this = columns[position] == code
-                mask = this if mask is None else (mask & this)
-            indices = numpy.nonzero(mask)[0]  # type: ignore[union-attr]
-            return self.take(indices)
-        if len(checks) == 1:
-            position, code = checks[0]
-            column = columns[position]
-            indices: Sequence[int] = [
-                index for index, value in enumerate(column) if value == code
-            ]
-            return self.take(indices)
-        indices = [
-            index
-            for index in range(self.store.length)
-            if all(columns[position][index] == code for position, code in checks)
-        ]
-        return self.take(indices)
-
-    def project(
+    def cross_product(
         self,
-        variables: Sequence[Variable],
-        seen: Optional[Set[object]] = None,
-    ) -> "EncodedRelation":
-        """Project onto ``variables``, deduplicating by int keys.
-
-        ``seen`` lets the batch face carry the dedup set across batches of
-        one logical projection; when omitted a fresh set is used.
-        """
-        schema = tuple(variables)
-        positions = tuple(self.position(variable) for variable in schema)
-        keys = self._key_column(positions)
-        if seen is None and not self.store.use_numpy:
-            # Fast path: dict.fromkeys deduplicates at C speed preserving
-            # first-occurrence order, and the kept keys *are* the projected
-            # rows — no index gather needed.
-            kept = dict.fromkeys(keys)
-            if len(positions) == 1:
-                return self._derive(schema, [list(kept)], len(kept))
-            columns = [list(column) for column in zip(*kept)] or [
-                [] for _ in positions
-            ]
-            return self._derive(schema, columns, len(kept))
-        if seen is None:
-            seen = set()
-        add = seen.add
-        indices: List[int] = []
-        append = indices.append
-        for index, key in enumerate(keys):
-            if key not in seen:
-                add(key)
-                append(index)
-        use_numpy = self.store.use_numpy
-        columns = [
-            _take_column(self.store.columns[p], indices, use_numpy) for p in positions
-        ]
-        return self._derive(schema, columns, len(indices))
-
-    def distinct(self, seen: Optional[Set[object]] = None) -> "EncodedRelation":
-        return self.project(self.schema, seen)
-
-    def semijoin_index(
-        self, key_positions: Sequence[int], index: IntIndex
-    ) -> "EncodedRelation":
-        """Bulk bucket intersection: keep rows whose key is in ``index``.
-
-        Membership checks are uncounted, mirroring the tuple semi-join.
-        """
-        keys = self._key_column(tuple(key_positions))
-        buckets = index.buckets
-        if self.store.use_numpy and len(tuple(key_positions)) == 1:
-            numpy = _numpy_module()
-            wanted = numpy.fromiter(buckets.keys(), dtype=numpy.int64, count=len(buckets))  # type: ignore[union-attr]
-            column = self.store.columns[tuple(key_positions)[0]]
-            mask = numpy.isin(column, wanted)  # type: ignore[union-attr]
-            return self.take(numpy.nonzero(mask)[0])  # type: ignore[union-attr]
-        indices = [i for i, key in enumerate(keys) if key in buckets]
-        return self.take(indices)
-
-    def semijoin(self, other: "EncodedRelation") -> "EncodedRelation":
-        """``self ⋉ other`` by variable name — the encoded Relation.semijoin."""
-        shared = tuple(v for v in self.schema if v in other._positions)
-        if not shared:
-            if other.is_empty():
-                return EncodedRelation.empty(self.schema, self.encoder)
-            return self.fresh_copy()
-        index = other.key_index(tuple(other.position(v) for v in shared))
-        return self.semijoin_index(
-            tuple(self.position(v) for v in shared), index
-        )
-
-    def join_index(
-        self,
-        key_positions: Sequence[int],
         other: "EncodedRelation",
-        index: IntIndex,
         residual_positions: Sequence[int],
         schema: Sequence[Variable],
     ) -> "EncodedRelation":
-        """Probe ``index`` with this relation's keys and gather matches.
+        """Every row of ``self`` paired with every row of ``other``'s
+        ``residual_positions`` columns, under ``schema``.
 
-        One counted probe per row of ``self`` (``IntIndex.get``), then bulk
-        column gathers for both sides — the vectorized hash-join kernel.
+        Joins on a shared key run the hash-sharded kernels of
+        :mod:`repro.evaluation.parallel`; the cross product has no key to
+        shard on (and, mirroring the tuple engine, counts no probes).
         """
-        keys = self._key_column(tuple(key_positions))
-        get = index.get
-        left_indices: List[int] = []
-        right_indices: List[int] = []
-        left_extend = left_indices.extend
-        right_extend = right_indices.extend
-        for row_index, key in enumerate(keys):
-            bucket = get(key)
-            if bucket:
-                left_extend([row_index] * len(bucket))
-                right_extend(bucket)
+        left_indices = [
+            i for i in range(self.store.length) for _ in range(other.store.length)
+        ]
+        right_indices = list(range(other.store.length)) * self.store.length
         use_numpy = self.store.use_numpy
         columns = [
             _take_column(column, left_indices, use_numpy)
@@ -591,43 +447,6 @@ class EncodedRelation:
             for p in residual_positions
         )
         return self._derive(schema, columns, len(left_indices))
-
-    def join(self, other: "EncodedRelation") -> "EncodedRelation":
-        """Natural hash join by variable name — the encoded Relation.join."""
-        shared = tuple(v for v in self.schema if v in other._positions)
-        residual_positions = tuple(
-            index
-            for index, variable in enumerate(other.schema)
-            if variable not in self._positions
-        )
-        schema = self.schema + tuple(
-            other.schema[index] for index in residual_positions
-        )
-        if not shared:
-            # Cross product: no index to probe (and, mirroring the tuple
-            # engine, no probes counted).
-            left_indices = [
-                i for i in range(self.store.length) for _ in range(other.store.length)
-            ]
-            right_indices = list(range(other.store.length)) * self.store.length
-            use_numpy = self.store.use_numpy
-            columns = [
-                _take_column(column, left_indices, use_numpy)
-                for column in self.store.columns
-            ]
-            columns.extend(
-                _take_column(other.store.columns[p], right_indices, use_numpy)
-                for p in residual_positions
-            )
-            return self._derive(schema, columns, len(left_indices))
-        index = other.key_index(tuple(other.position(v) for v in shared))
-        return self.join_index(
-            tuple(self.position(v) for v in shared),
-            other,
-            index,
-            residual_positions,
-            schema,
-        )
 
     def chunks(self, size: int) -> Iterator["EncodedRelation"]:
         """Slice into batches of at most ``size`` rows (column slices, O(1)
@@ -691,8 +510,16 @@ class EncodedRelation:
         return Relation(self.schema, self.decoded_rows())
 
     def answer_tuples(self, head: Sequence[Variable]) -> Set[Row]:
-        """The decoded answer set over ``head`` (repeated variables allowed)."""
+        """The decoded answer set over ``head`` (repeated variables allowed).
+
+        Built with the cyclic garbage collector paused: every tuple made
+        here is alive in the result, so a collection could free none of
+        them, yet their allocation would trigger one — a full one, walking
+        the whole heap (the database included), about once per large
+        answer set.
+        """
         positions = tuple(self.position(variable) for variable in head)
         if not positions:
             return {()} if self.store.length else set()
-        return set(zip(*self._decoded_columns(positions)))
+        with _gc_paused():
+            return set(zip(*self._decoded_columns(positions)))

@@ -37,10 +37,8 @@ Cardinality estimation is statistics-calibrated: the planners score
 candidate orders with the :class:`~repro.evaluation.operators.CostModel`
 (per-column distinct counts, bucket-size histograms, textbook join
 selectivities) instead of the historical 1/10-per-constraint guess.  The
-old heuristic survives as :func:`estimate_cardinality` /
-:func:`plan_greedy_heuristic` — the baseline that
-``benchmarks/bench_plan_quality.py`` and the calibration guard in
-``tests/test_plan_calibration.py`` measure the calibrated model against.
+old heuristic and the planners built on it are ablation baselines only and
+live with the tests (``tests/helpers/legacy_planners.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..datamodel import Atom, Constant, Instance, Term, Variable
+from ..datamodel import Atom, Instance, Term, Variable
 from ..queries.cq import ConjunctiveQuery
 from .operators import (
     CardinalityEstimate,
@@ -187,30 +185,6 @@ class PlanExecution:
 # ----------------------------------------------------------------------
 # Cardinality estimation
 # ----------------------------------------------------------------------
-def estimate_cardinality(atom: Atom, database: Instance) -> int:
-    """The *legacy heuristic* estimate of the facts matching ``atom``.
-
-    Relation size, discounted by one fixed factor of 10 per constant or
-    repeated-variable constraint — monotone but blind to the actual value
-    distributions.  Superseded by the statistics-calibrated
-    :meth:`~repro.evaluation.operators.CostModel.scan_estimate` everywhere
-    the planners run; kept as the baseline of
-    :func:`plan_greedy_heuristic` and of
-    ``benchmarks/bench_plan_quality.py``.
-    """
-    base = len(database.atoms_with_predicate(atom.predicate))
-    constraints = sum(1 for term in atom.terms if isinstance(term, Constant))
-    seen: Set[Term] = set()
-    for term in atom.terms:
-        if isinstance(term, Variable):
-            if term in seen:
-                constraints += 1
-            seen.add(term)
-    for _ in range(constraints):
-        base = max(1, base // 10) if base else 0
-    return base
-
-
 def estimated_intermediate_sizes(plan: JoinPlan) -> List[int]:
     """The cost model's estimate of each step's intermediate-result size.
 
@@ -234,37 +208,6 @@ def _cost_model(
     statistics: Optional[Statistics],
 ) -> CostModel:
     return CostModel(statistics if statistics is not None else Statistics(database, scans))
-
-
-def plan_in_query_order(
-    query: ConjunctiveQuery,
-    database: Instance,
-    *,
-    scans: Optional[ScanProvider] = None,
-    statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
-) -> JoinPlan:
-    """The "no planning" plan: atoms in the order they appear in the query."""
-    del backend  # planning is backend-independent; accepted for uniformity
-    model = _cost_model(database, scans, statistics)
-    return _plan_from_order(query, list(query.body), model)
-
-
-def plan_by_cardinality(
-    query: ConjunctiveQuery,
-    database: Instance,
-    *,
-    scans: Optional[ScanProvider] = None,
-    statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
-) -> JoinPlan:
-    """Left-deep plan ordering atoms by estimated scan cardinality only."""
-    del backend
-    model = _cost_model(database, scans, statistics)
-    ordered = sorted(
-        query.body, key=lambda atom: (model.scan_estimate(atom).rows, str(atom))
-    )
-    return _plan_from_order(query, ordered, model)
 
 
 def plan_greedy(
@@ -320,50 +263,6 @@ def plan_greedy(
     return _plan_from_order(query, ordered, model)
 
 
-def plan_greedy_heuristic(
-    query: ConjunctiveQuery,
-    database: Instance,
-    *,
-    scans: Optional[ScanProvider] = None,
-    statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
-) -> JoinPlan:
-    """The historical greedy planner driven by :func:`estimate_cardinality`.
-
-    Connected atoms preferred, ordered by the 1/10-per-constraint scan
-    heuristic alone (no join selectivities).  Kept as the ablation baseline
-    for ``benchmarks/bench_plan_quality.py``; the step estimates recorded
-    on the plan still come from the calibrated model, so only the *order*
-    differs from :func:`plan_greedy`.
-    """
-    del backend
-    model = _cost_model(database, scans, statistics)
-    remaining = list(query.body)
-    if not remaining:
-        return JoinPlan(query)
-
-    ordered: List[Atom] = []
-    bound_variables: Set[Variable] = set()
-    first = min(
-        remaining, key=lambda atom: (estimate_cardinality(atom, database), str(atom))
-    )
-    ordered.append(first)
-    bound_variables.update(first.variables())
-    remaining.remove(first)
-
-    while remaining:
-        connected = [atom for atom in remaining if atom.variables() & bound_variables]
-        pool = connected or remaining
-        chosen = min(
-            pool, key=lambda atom: (estimate_cardinality(atom, database), str(atom))
-        )
-        ordered.append(chosen)
-        bound_variables.update(chosen.variables())
-        remaining.remove(chosen)
-
-    return _plan_from_order(query, ordered, model)
-
-
 def _plan_from_order(
     query: ConjunctiveQuery, ordered: Sequence[Atom], model: CostModel
 ) -> JoinPlan:
@@ -401,9 +300,9 @@ def resolve_planner(
     ``None`` consults the ``REPRO_PLANNER`` environment variable and falls
     back to ``"dp"`` — the Selinger dynamic program of
     :mod:`repro.evaluation.planner_dp` is the default planner.  Accepted
-    names: ``dp``, ``greedy``, ``heuristic``, ``cardinality``,
-    ``query-order``.  A callable passes through unchanged, so existing
-    ``planner=plan_greedy`` call sites keep working.
+    names: ``dp`` and ``greedy``.  A callable passes through unchanged, so
+    ``planner=plan_greedy`` call sites (and the test-only ablation
+    baselines) keep working.
 
     ``streaming=True`` resolves ``"dp"`` to the left-deep restriction
     :func:`~repro.evaluation.planner_dp.plan_dp_linear` instead: bushy
@@ -421,19 +320,9 @@ def resolve_planner(
         from .planner_dp import plan_dp, plan_dp_linear
 
         return plan_dp_linear if streaming else plan_dp
-    registry: dict = {
-        "greedy": plan_greedy,
-        "heuristic": plan_greedy_heuristic,
-        "cardinality": plan_by_cardinality,
-        "query-order": plan_in_query_order,
-    }
-    try:
-        return registry[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown planner {name!r}; expected one of "
-            "'dp', 'greedy', 'heuristic', 'cardinality', 'query-order'"
-        ) from None
+    if name == "greedy":
+        return plan_greedy
+    raise ValueError(f"unknown planner {name!r}; expected 'dp' or 'greedy'")
 
 
 # ----------------------------------------------------------------------

@@ -52,8 +52,6 @@ streaming face pipelines the whole prefix.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import (
     Dict,
     FrozenSet,
@@ -71,12 +69,13 @@ from ..datamodel import Atom, Instance, Predicate, Term, Variable
 from ..hypergraph import JoinTree
 from .encoding import EncodedRelation, IntRow, TermEncoder, resolve_backend
 from .parallel import (
+    KernelResult,
     ParallelMeta,
-    parallel_join,
-    parallel_project,
-    parallel_select,
-    parallel_semijoin,
     resolve_parallel,
+    sharded_join,
+    sharded_project,
+    sharded_select,
+    sharded_semijoin,
 )
 from .relation import (
     Partition,
@@ -87,47 +86,10 @@ from .relation import (
     compile_scan_pattern,
 )
 
-#: Environment variable overriding :data:`BATCH_ROWS` (the morsel size).
-BATCH_ROWS_ENV = "REPRO_BATCH_ROWS"
-
-#: The default batch-face row budget when ``REPRO_BATCH_ROWS`` is unset.
-DEFAULT_BATCH_ROWS = 1024
-
-
-def _resolve_batch_rows() -> int:
-    """Resolve ``REPRO_BATCH_ROWS`` to a positive int, warning on junk.
-
-    Unlike ``REPRO_BACKEND``/``REPRO_PARALLEL`` (which raise on typos), a
-    bad morsel size degrades gracefully: batch execution is correct at any
-    size, so a non-positive or non-numeric value warns and falls back to
-    :data:`DEFAULT_BATCH_ROWS` rather than making every entry point
-    unusable.  Read once at import time — the batch tests monkeypatch the
-    module constant, not the environment.
-    """
-    raw = os.environ.get(BATCH_ROWS_ENV, "").strip()
-    if not raw:
-        return DEFAULT_BATCH_ROWS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        warnings.warn(
-            f"ignoring {BATCH_ROWS_ENV}={raw!r}: expected a positive integer,"
-            f" using the default of {DEFAULT_BATCH_ROWS}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_BATCH_ROWS
-    return value
-
-
 #: Row budget of one batch on the batch face (:meth:`Operator.iter_batches`).
 #: Large enough to amortise per-batch dispatch, small enough that ``limit=``
-#: consumers stop a pipelined chain after O(batch) extra work.  Tunable per
-#: machine through ``REPRO_BATCH_ROWS`` (positive int; junk warns and keeps
-#: the default).
-BATCH_ROWS = _resolve_batch_rows()
+#: consumers stop a pipelined chain after O(batch) extra work.
+BATCH_ROWS = 1024
 
 
 def first_occurrence_schema(variables: Sequence[Variable]) -> Tuple[Variable, ...]:
@@ -159,9 +121,10 @@ class ExecutionContext:
 
     ``parallel`` sets the morsel worker count (resolved per
     :func:`repro.evaluation.parallel.resolve_parallel`; fewer than two
-    workers means the serial kernels run).  Only the batch face consults
-    it: the tuple face and the streaming faces stay serial — they are the
-    differential oracles the parallel kernels are tested against.
+    workers means every kernel runs with one shard).  Only the batch
+    face's materialisation consults it: the tuple face stays serial — it
+    is the differential oracle the columnar kernels are tested against —
+    and each streaming batch runs as one morsel.
     """
 
     __slots__ = ("database", "scans", "backend", "encoder", "workers")
@@ -224,8 +187,8 @@ class Operator:
         self.executed_face: Optional[str] = None
         self._result: Optional[Relation] = None
         self._encoded: Optional[EncodedRelation] = None
-        #: The shard/morsel layout when a parallel kernel executed this
-        #: node (rendered by :func:`render_plan`, audited by PLAN017).
+        #: The shard/morsel layout when a kernel executed this node with
+        #: ``P ≥ 2`` (rendered by :func:`render_plan`, audited by PLAN017).
         self._parallel_meta: Optional[ParallelMeta] = None
 
     # -- execution ------------------------------------------------------
@@ -382,20 +345,17 @@ class Select(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
-        checks = self._encoded_checks(context)
-        if context.workers >= 2:
-            sharded = parallel_select(child, checks, context.workers)
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return child.select_codes(checks)
+        result, self._parallel_meta = sharded_select(
+            child, self._encoded_checks(context), context.workers
+        )
+        return result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
         self.executed_face = "batch"
         checks = self._encoded_checks(context)
         for batch in self.children[0].iter_batches(context):
-            out = batch.select_codes(checks)
+            out, _ = sharded_select(batch, checks, 1)
             if len(out):
                 self.observed_rows += len(out)
                 yield out
@@ -435,21 +395,17 @@ class Project(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
-        if context.workers >= 2:
-            sharded = parallel_project(
-                child, self.schema, self._positions, context.workers
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return child.project(self.schema)
+        result, self._parallel_meta = sharded_project(
+            child, self.schema, self._positions, context.workers
+        )
+        return result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
         self.executed_face = "batch"
         seen: Set[object] = set()  # int keys, carried across batches
         for batch in self.children[0].iter_batches(context):
-            out = batch.project(self.schema, seen)
+            out, _ = sharded_project(batch, self.schema, self._positions, 1, seen)
             if len(out):
                 self.observed_rows += len(out)
                 yield out
@@ -463,10 +419,11 @@ class Distinct(Operator):
     guarantee distinctness; kept explicit for plans built from raw
     streams)."""
 
-    __slots__ = ()
+    __slots__ = ("_positions",)
 
     def __init__(self, child: Operator) -> None:
         super().__init__(child.schema, (child,))
+        self._positions = tuple(range(len(self.schema)))
 
     def _materialize(self, context: ExecutionContext) -> Relation:
         return self.children[0].materialize(context).distinct()
@@ -482,24 +439,17 @@ class Distinct(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
-        if context.workers >= 2:
-            sharded = parallel_project(
-                child,
-                self.schema,
-                tuple(range(len(self.schema))),
-                context.workers,
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return child.distinct()
+        result, self._parallel_meta = sharded_project(
+            child, self.schema, self._positions, context.workers
+        )
+        return result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
         self.executed_face = "batch"
-        seen: Set[object] = set()
+        seen: Set[object] = set()  # int keys, carried across batches
         for batch in self.children[0].iter_batches(context):
-            out = batch.distinct(seen)
+            out, _ = sharded_project(batch, self.schema, self._positions, 1, seen)
             if len(out):
                 self.observed_rows += len(out)
                 yield out
@@ -555,18 +505,18 @@ class SemiJoin(Operator):
         if left.is_empty():
             return EncodedRelation.empty(self.schema, context.encoder)
         right = self.children[1].materialize_encoded(context)
-        if context.workers >= 2 and self._shared:
-            sharded = parallel_semijoin(
-                left,
-                right,
-                self._left_key,
-                tuple(right.position(v) for v in self._shared),
-                context.workers,
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return left.semijoin(right)
+        if not self._shared:
+            if right.is_empty():
+                return EncodedRelation.empty(self.schema, context.encoder)
+            return left.fresh_copy()
+        result, self._parallel_meta = sharded_semijoin(
+            left,
+            right,
+            self._left_key,
+            tuple(right.position(v) for v in self._shared),
+            context.workers,
+        )
+        return result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
@@ -579,13 +529,13 @@ class SemiJoin(Operator):
                 self.observed_rows += len(batch)
                 yield batch
             return
-        # One shared int index over the right side; each left batch is a
-        # bulk bucket intersection (membership only — never probe-counted,
-        # matching the tuple semi-join accounting).
-        index = right.key_index(tuple(right.position(v) for v in self._shared))
+        # Each left batch is one morsel against the right side's cached
+        # single shard (membership only — never probe-counted, matching the
+        # tuple semi-join accounting).
+        right_key = tuple(right.position(v) for v in self._shared)
         left_key = self._left_key
         for batch in self.children[0].iter_batches(context):
-            out = batch.semijoin_index(left_key, index)
+            out, _ = sharded_semijoin(batch, right, left_key, right_key, 1)
             if len(out):
                 self.observed_rows += len(out)
                 yield out
@@ -658,30 +608,33 @@ class HashJoin(Operator):
         if left.is_empty():
             return EncodedRelation.empty(self.schema, context.encoder)
         right = self.children[1].materialize_encoded(context)
-        # Thread-local delta, as in the tuple face: the parallel kernel
+        # Thread-local delta, as in the tuple face: the join kernel
         # aggregates len(left) probes through Partition.add_probes on this
         # (the coordinator) thread, so the delta is backend-identical and
         # immune to concurrently scheduled queries' probes.
         before = Partition.thread_probes()
-        result: Optional[EncodedRelation] = None
-        if context.workers >= 2 and self._shared:
-            sharded = parallel_join(
-                left,
-                right,
-                self._left_key,
-                tuple(right.position(v) for v in self._shared),
-                self._right_residual,
-                self.schema,
-                context.workers,
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-        if result is None:
-            result = left.join(right)
+        result, self._parallel_meta = self._join_encoded(
+            left, right, context.workers
+        )
         self.observed_probes = (self.observed_probes or 0) + (
             Partition.thread_probes() - before
         )
         return result
+
+    def _join_encoded(
+        self, left: EncodedRelation, right: EncodedRelation, workers: int
+    ) -> KernelResult:
+        if not self._shared:
+            return left.cross_product(right, self._right_residual, self.schema), None
+        return sharded_join(
+            left,
+            right,
+            self._left_key,
+            tuple(right.position(v) for v in self._shared),
+            self._right_residual,
+            self.schema,
+            workers,
+        )
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
@@ -691,10 +644,10 @@ class HashJoin(Operator):
             return
         for batch in self.children[0].iter_batches(context):
             if self._shared:
-                # One counted int-index probe per left row, mirroring the
-                # per-row accounting of the streaming tuple face.
+                # One counted probe per left row, mirroring the per-row
+                # accounting of the streaming tuple face.
                 self.observed_probes = (self.observed_probes or 0) + len(batch)
-            out = batch.join(right)
+            out, _ = self._join_encoded(batch, right, 1)  # one batch, one morsel
             if len(out):
                 self.observed_rows += len(out)
                 yield out

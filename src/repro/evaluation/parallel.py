@@ -1,73 +1,72 @@
-"""Morsel-driven parallel execution over the batch face.
+"""The columnar kernels: hash-sharded, morsel-driven, at any worker count.
 
 The operator IR's batch face (:meth:`Operator.materialize_encoded`) moves
 dictionary-encoded column stores through ``Select``/``Project``/``Distinct``/
-``SemiJoin``/``HashJoin`` kernels.  Those kernels are embarrassingly
-partition-parallel in the style of morsel-driven execution (Leis et al.,
-SIGMOD'14, the HyPer architecture): the *build* side of a join is hash-
-sharded by join key into ``P`` shards, the *probe* side is split into ``P``
-contiguous morsels, and each (morsel × shard) unit of work is independent.
-This module supplies that layer:
+``SemiJoin``/``HashJoin`` kernels.  This module holds the only
+implementation of those kernels, written in the style of morsel-driven
+execution (Leis et al., SIGMOD'14, the HyPer architecture): the *build*
+side of a join is hash-sharded by join key into ``P`` shards, the *probe*
+side is split into ``P`` contiguous morsels, and each (morsel × shard) unit
+of work is independent.  ``P = 1`` is the common case — one shard, one
+morsel, run inline — and is what every serial columnar evaluation and every
+streaming batch executes.
 
 * :func:`resolve_parallel` resolves the ``parallel=`` keyword accepted by
   every evaluation entry point, mirroring
   :func:`repro.evaluation.encoding.resolve_backend`: an explicit argument
   wins, then the ``REPRO_PARALLEL`` environment variable (``auto`` → CPU
-  count), then serial.  Fewer than two workers means the serial kernels run
-  untouched — the serial path stays the differential oracle.
+  count), then serial.
 
-* :func:`parallel_join` / :func:`parallel_semijoin` /
-  :func:`parallel_project` / :func:`parallel_select` are the morsel
-  kernels.  Each returns ``None`` when it does not apply (input below
-  :data:`PARALLEL_MIN_ROWS`, unpackable multi-column key, …) and the caller
-  falls back to the serial kernel; otherwise it returns the result plus a
-  :class:`ParallelMeta` describing the shard/morsel layout (rendered by
-  ``EXPLAIN`` as ``workers=P shards=S morsels=M`` and audited by the
-  static verifier's PLAN017 check).
+* :func:`sharded_join` / :func:`sharded_semijoin` /
+  :func:`sharded_project` / :func:`sharded_select` are the kernels.  On the
+  numpy storage path each runs with ``P ≥ 2`` only when asked for two or
+  more workers *and* its input reaches :data:`PARALLEL_MIN_ROWS`;
+  otherwise, and always on the pure-python path, ``P = 1``.  Each returns
+  the result plus, for ``P ≥ 2``, a :class:`ParallelMeta` describing the
+  shard/morsel layout (rendered by ``EXPLAIN`` as
+  ``workers=P shards=S morsels=M`` and audited by the static verifier's
+  PLAN017 check).  ``P = 1`` attaches no layout, so serial plans explain
+  exactly as before.
 
-**Determinism.**  Answers must be bit-identical to serial execution:
+**Determinism.**  Answers are bit-identical at every ``P``:
 
-* the build side is sharded by ``key % P`` (single int keys) or
-  ``hash(key) % P`` (tuple keys — value-based, hence stable across
-  processes), and within a shard the original build row order is preserved
-  by a *stable* sort, so each key's matches appear in exactly the bucket
-  order the serial :class:`~repro.evaluation.encoding.IntIndex` would
-  produce;
+* the build side is sharded by ``key % P`` on packed int keys, and within
+  a shard the original build row order is preserved (a stable sort), so
+  each key's matches appear in build row order whatever the shard count;
 * probe morsels are contiguous row ranges merged in morsel order, and
-  join results are stable-sorted by probe row within each morsel — so the
-  concatenated output is exactly the serial "for each left row, its bucket
-  in order" order;
+  join results are ordered by probe row within each morsel — so the
+  concatenated output is "for each probe row, its matches in build order";
 * dedup kernels (``Project``/``Distinct``) find per-morsel first
-  occurrences in parallel and the coordinator merges them serially in
-  morsel order against the set of keys seen so far, reproducing global
-  first-occurrence order.
+  occurrences and the coordinator merges them in morsel order, reproducing
+  global first-occurrence order.  A streaming batch is one morsel whose
+  "seen so far" key set is carried across the batches of one projection.
 
-**Worker pools and the GIL.**  On the numpy storage path
+**Storage paths and dispatch.**  On the numpy storage path
 (``REPRO_NUMPY=1``) the kernels are vectorised (sorted shards probed with
-``searchsorted``, ``unique``-based dedup) and numpy releases the GIL inside
-those calls, so a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-scales with cores.  On the pure-python path threads cannot overlap, so
-morsels are dispatched to a :class:`~concurrent.futures.ProcessPoolExecutor`
-with pickled shards — but only above :data:`PROCESS_MIN_ROWS` *and* on
-multi-core hosts, because forking and pickling dominate below that; below
-the gate the same sharded kernels run inline on the coordinator, so the
-deterministic shard/merge machinery is exercised (and tested) everywhere
-even where a pool would not pay.
+``searchsorted``, sort-based dedup).  numpy releases the GIL inside those
+calls, so at ``P ≥ 2`` the morsels run on a shared
+:class:`~concurrent.futures.ThreadPoolExecutor`.  On the pure-python
+``array('q')`` path (the only path on hosts without numpy) threads cannot
+overlap, so its kernels — a bucket dict, a key set, a first-occurrence
+dict — always run with one shard on the calling thread.  A multi-column
+key whose packed form would overflow ``int64`` runs the pure-python kernel
+on a numpy store.
 
-**Accounting.**  Worker tasks never touch the process-wide probe counter.
-The coordinator aggregates once per operator through
-:meth:`Partition.add_probes` — ``len(probe side)`` for a hash join (the
-serial kernel counts one ``IntIndex.get`` per probe row), nothing for a
-semi-join (membership is deliberately uncounted on every path) — so the
-bounded-work assertions hold identically under parallel execution.
+**Accounting.**  Kernels never touch the process-wide probe counter per
+row.  The join kernel adds ``len(probe side)`` once through
+:meth:`Partition.add_probes` — one probe per probe row, the same count the
+tuple engine's per-row ``Partition.get`` produces — and the semi-join adds
+nothing (membership is deliberately uncounted on every path), so the
+bounded-work assertions hold identically under either backend and any
+``P``.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Variable
 from .encoding import (
@@ -81,14 +80,13 @@ from .relation import Partition
 #: Environment variable naming the default worker count (``auto``/``0``/N).
 PARALLEL_ENV = "REPRO_PARALLEL"
 
-#: Probe-side rows below which the parallel kernels decline (serial wins on
-#: dispatch overhead).  Tests monkeypatch this to force the kernels on
-#: small inputs.
+#: Input rows below which a kernel runs with one shard even when more
+#: workers were asked for (dispatch overhead wins below this).  Tests
+#: monkeypatch this to force ``P ≥ 2`` on small inputs.
 PARALLEL_MIN_ROWS = 2048
 
-#: Pure-python probe-side rows below which morsels run inline instead of in
-#: the process pool (fork + pickling dominate below this).
-PROCESS_MIN_ROWS = 8192
+#: What a kernel returns: the result, plus its layout when ``P ≥ 2``.
+KernelResult = Tuple[EncodedRelation, Optional["ParallelMeta"]]
 
 
 def resolve_parallel(parallel: Optional[object] = None) -> int:
@@ -183,12 +181,10 @@ class ParallelMeta:
 
 
 # ----------------------------------------------------------------------
-# Worker pools
+# Worker pool
 # ----------------------------------------------------------------------
 _POOL_LOCK = threading.Lock()
 _THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
-_PROCESS_POOLS: Dict[int, Executor] = {}
-_PROCESS_POOL_BROKEN = False
 
 
 def _thread_pool(workers: int) -> Optional[ThreadPoolExecutor]:
@@ -211,38 +207,16 @@ def _thread_pool(workers: int) -> Optional[ThreadPoolExecutor]:
         return pool
 
 
-def _process_pool(workers: int) -> Optional[Executor]:
-    """The shared process pool, or ``None`` where it cannot pay.
-
-    Single-core hosts and platforms where worker processes fail to start
-    get ``None`` — the caller then runs the same sharded kernels inline,
-    preserving behaviour (the pool is a dispatch detail, never a semantic
-    one).
-    """
-    global _PROCESS_POOL_BROKEN
-    if (os.cpu_count() or 1) < 2 or _PROCESS_POOL_BROKEN:
-        return None
-    with _POOL_LOCK:
-        pool = _PROCESS_POOLS.get(workers)
-        if pool is None:
-            try:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            except Exception:  # pragma: no cover - platform-dependent
-                _PROCESS_POOL_BROKEN = True
-                return None
-            _PROCESS_POOLS[workers] = pool
-        return pool
-
-
 def _run_tasks(
-    tasks: Sequence[Tuple[object, Tuple[object, ...]]],
-    pool: Optional[Executor],
+    tasks: Sequence[Tuple[object, Tuple[object, ...]]], workers: int
 ) -> List[object]:
-    """Run ``(function, args)`` tasks, preserving submission order.
+    """Run numpy ``(function, args)`` tasks, preserving submission order.
 
-    ``pool=None`` executes inline — same results, same merge order.
+    One task (``P = 1``) runs inline; more go to the thread pool — same
+    results, same merge order.
     """
-    if pool is None or len(tasks) <= 1:
+    pool = _thread_pool(workers) if len(tasks) > 1 else None
+    if pool is None:
         return [function(*args) for function, args in tasks]  # type: ignore[operator]
     futures = [pool.submit(function, *args) for function, args in tasks]  # type: ignore[arg-type]
     return [future.result() for future in futures]
@@ -251,22 +225,23 @@ def _run_tasks(
 # ----------------------------------------------------------------------
 # Shard/morsel layout helpers
 # ----------------------------------------------------------------------
+def _shard_count(rows: int, workers: int) -> int:
+    """``P`` for one numpy kernel call: ``workers`` above the row gate,
+    else 1.  (The pure-python kernels always run with ``P = 1``.)"""
+    return workers if workers >= 2 and rows >= PARALLEL_MIN_ROWS else 1
+
+
 def _morsel_bounds(length: int, workers: int) -> List[Tuple[int, int]]:
     """Split ``length`` rows into at most ``workers`` contiguous morsels.
 
     An empty probe side still yields one (empty) morsel so every kernel's
-    merge runs over at least one worker result — the layout then records
+    merge runs over at least one morsel result — the layout then records
     ``morsel_sizes == (0,)``, which tiles the empty operand exactly.
     """
     if length == 0:
         return [(0, 0)]
     step = max(1, -(-length // workers))
     return [(start, min(start + step, length)) for start in range(0, length, step)]
-
-
-#: Cache-miss sentinel (``None`` is a legitimate cached value: a key
-#: packing that would overflow ``int64`` declines permanently).
-_ABSENT = object()
 
 
 def _pack_base(relation: EncodedRelation) -> int:
@@ -277,47 +252,45 @@ def _pack_base(relation: EncodedRelation) -> int:
     base must be sampled **once per kernel call** and used for every operand
     of that call — two operands packed at different bases compare
     incompatible encodings.  Any base bounding every code is a bijection, so
-    a bigger-than-necessary base is always sound.
+    the encoder size is rounded up to a power of two: the base, and with it
+    every cache entry keyed on it, then changes only ``O(log |encoder|)``
+    times as the encoder grows.
     """
-    return max(2, len(relation.encoder))
+    return 1 << max(1, (len(relation.encoder) - 1).bit_length())
 
 
 def _pack_token(positions: Tuple[int, ...], base: int) -> int:
-    """The cache-key component tying packed keys (and derived shards) to
-    their packing base.
+    """The cache token tying packed keys (and derived shards) to their
+    packing base.
 
     Multi-column packings are only comparable when produced at the same
-    base, so their cache entries carry it: when the shared encoder has grown
-    since a store's keys were cached, the stale entry misses and the keys
-    are repacked at the current base.  Single-column keys are the raw column
-    — base-independent — so they keep one cache entry (token ``0``) across
-    encoder growth.
+    base, so their cache entries carry it: when the base has grown since a
+    store's keys were cached, the stale entry is replaced by keys repacked
+    at the current base.  Single-column keys are the raw column —
+    base-independent — so they keep one entry (token ``0``) for good.
     """
     return base if len(positions) > 1 else 0
 
 
-def _shards_for(
-    relation: EncodedRelation, keys, positions, workers: int, token: int
-):
-    """The hash shards of a build side, cached per store.
+def _cached(relation: EncodedRelation, cache_key, token, build):
+    """``build()``, cached on ``relation``'s store under ``cache_key`` and
+    valid for ``token`` only.
 
-    The shard layout depends only on the store contents, the key positions,
-    the worker count and — on the numpy path — the packing base behind
-    ``keys`` (``token``, see :func:`_pack_token`; pure-python sharding is
-    hash-based and passes ``0``), so a warm serving path re-probing the same
-    cached scan amortises the shard build exactly like the serial path
-    amortises its :meth:`EncodedRelation.key_index`.
+    Cached scans are re-probed on every query of a warm serving path, so
+    packed keys and build-side shards are built once per store.  Each
+    ``cache_key`` holds one entry: a value built under another token is
+    replaced, not kept beside the new one, so a long-lived store holds one
+    packing per key positions however often the encoder grows.  The entry
+    is one ``(token, value)`` tuple, so a concurrent reader never pairs a
+    token with another token's value.
     """
-    cache_key = ("parallel-shards", positions, workers, token)
-    cached = relation.store.caches.get(cache_key, _ABSENT)
-    if cached is not _ABSENT:
-        return cached
-    if relation.store.use_numpy:
-        shards = _np_build_shards(keys, workers)
-    else:
-        shards = _py_build_shards(keys, workers)
-    relation.store.caches[cache_key] = shards
-    return shards
+    caches = relation.store.caches
+    entry = caches.get(cache_key)
+    if entry is not None and entry[0] == token:  # type: ignore[index]
+        return entry[1]  # type: ignore[index]
+    value = build()
+    caches[cache_key] = (token, value)
+    return value
 
 
 def _packed_keys(relation: EncodedRelation, positions: Tuple[int, ...], base: int):
@@ -327,24 +300,18 @@ def _packed_keys(relation: EncodedRelation, positions: Tuple[int, ...], base: in
     into one integer per row under the caller-supplied mixed-radix ``base``
     (codes are dense, so any base bounding every code makes the packing a
     bijection); when the packed key space would overflow ``int64`` the
-    kernel declines and the serial path runs instead.  The caller samples
-    the base **once** per kernel call (:func:`_pack_base`) and passes the
-    same value for every operand, so concurrent encoder growth between two
-    ``_packed_keys`` calls cannot desynchronize the operands.
-
-    Cached per store, like :meth:`EncodedRelation.key_index`: cached scans
-    are re-probed on every query of a warm serving path, and the packing
-    depends only on the (immutable) store contents plus the base — which is
-    part of the cache key (:func:`_pack_token`), so entries packed before
-    the shared encoder grew are never served at the new base.
+    kernel runs its pure-python variant instead (``None``, cached like any
+    other packing).  The caller samples the base **once** per kernel call
+    (:func:`_pack_base`) and passes the same value for every operand, so
+    concurrent encoder growth between two ``_packed_keys`` calls cannot
+    desynchronize the operands.
     """
-    cache_key = ("parallel-packed", positions, _pack_token(positions, base))
-    cached = relation.store.caches.get(cache_key, _ABSENT)
-    if cached is not _ABSENT:
-        return cached
-    packed = _compute_packed_keys(relation, positions, base)
-    relation.store.caches[cache_key] = packed
-    return packed
+    return _cached(
+        relation,
+        ("packed", positions),
+        _pack_token(positions, base),
+        lambda: _compute_packed_keys(relation, positions, base),
+    )
 
 
 def _compute_packed_keys(
@@ -393,29 +360,61 @@ def shard_counts(
 # ----------------------------------------------------------------------
 # numpy kernels (vectorised; threads overlap because numpy drops the GIL)
 # ----------------------------------------------------------------------
-def _np_build_shards(build_keys, workers: int):
-    """Hash-shard the build side: per shard, (sorted keys, row permutation).
+def _sort_with_rows(keys, span: int):
+    """``(sorted keys, row order)`` of an ``int64`` key array, equal keys
+    in row order.
 
-    The sort is stable, so within equal keys the permutation preserves the
-    original build row order — exactly the bucket order of the serial
-    :class:`IntIndex`.
+    Keys lie in ``[0, span)``.  When ``span * len(keys)`` fits ``int64`` the
+    composite values ``key * len + row`` are distinct, so a plain value sort
+    of them is a stable key sort — several times faster than numpy's stable
+    ``argsort``, which was the largest single cost of the columnar engine.
+    Wider key spaces fall back to the stable ``argsort``.
     """
+    numpy = _numpy_module()
+    length = len(keys)
+    if length and span * length < 2 ** 62:
+        composite = numpy.sort(  # type: ignore[union-attr]
+            keys * length + numpy.arange(length, dtype=numpy.int64)  # type: ignore[union-attr]
+        )
+        return composite // length, composite % length
+    order = numpy.argsort(keys, kind="stable")  # type: ignore[union-attr]
+    return keys[order], order
+
+
+def _np_locate(sorted_keys, keys, span: int):
+    """Left and right insertion points of ``keys`` in ``sorted_keys``.
+
+    The needles are searched in ascending order and scattered back:
+    ``searchsorted`` starts each search from the previous needle's result,
+    so ascending needles avoid a cache-missing binary search per row.
+    """
+    numpy = _numpy_module()
+    needles, order = _sort_with_rows(keys, span)
+    lo = numpy.empty(len(keys), dtype=numpy.int64)  # type: ignore[union-attr]
+    hi = numpy.empty(len(keys), dtype=numpy.int64)  # type: ignore[union-attr]
+    lo[order] = numpy.searchsorted(sorted_keys, needles, side="left")  # type: ignore[union-attr]
+    hi[order] = numpy.searchsorted(sorted_keys, needles, side="right")  # type: ignore[union-attr]
+    return lo, hi
+
+
+def _np_build_shards(build_keys, workers: int, span: int):
+    """Hash-shard the build side: per shard, (sorted keys, build rows),
+    equal keys in build row order."""
     numpy = _numpy_module()
     shard_of_row = build_keys % workers
     shards = []
     for shard in range(workers):
         rows = numpy.nonzero(shard_of_row == shard)[0]  # type: ignore[union-attr]
-        keys = build_keys[rows]
-        order = numpy.argsort(keys, kind="stable")  # type: ignore[union-attr]
-        shards.append((keys[order], rows[order]))
+        keys, order = _sort_with_rows(build_keys[rows], span)
+        shards.append((keys, rows[order]))
     return shards
 
 
-def _np_join_morsel(probe_keys, start: int, shards, workers: int):
+def _np_join_morsel(probe_keys, start: int, shards, workers: int, span: int):
     """Match one probe morsel against every shard; deterministic order.
 
-    Returns global (probe row, build row) index arrays sorted by probe row
-    (stable), i.e. the serial probe order restricted to this morsel.
+    Returns global (probe row, build row) index arrays sorted by probe row,
+    each probe row's matches in build row order.
     """
     numpy = _numpy_module()
     length = len(probe_keys)
@@ -427,9 +426,7 @@ def _np_join_morsel(probe_keys, start: int, shards, workers: int):
         if not local.size:
             continue
         sorted_keys, permutation = shards[shard]
-        keys = probe_keys[local]
-        lo = numpy.searchsorted(sorted_keys, keys, side="left")  # type: ignore[union-attr]
-        hi = numpy.searchsorted(sorted_keys, keys, side="right")  # type: ignore[union-attr]
+        lo, hi = _np_locate(sorted_keys, probe_keys[local], span)
         counts = hi - lo
         matched = numpy.nonzero(counts)[0]  # type: ignore[union-attr]
         if not matched.size:
@@ -461,33 +458,36 @@ def _np_join_morsel(probe_keys, start: int, shards, workers: int):
     return probe_out, build_out
 
 
-def _np_semijoin_morsel(probe_keys, start: int, shards, workers: int):
-    """The probe rows of one morsel with a partner, ascending (serial order)."""
+def _np_semijoin_morsel(probe_keys, start: int, shards, workers: int, span: int):
+    """The probe rows of one morsel with a partner, ascending."""
     numpy = _numpy_module()
     shard_of_row = probe_keys % workers
     keep = numpy.zeros(len(probe_keys), dtype=bool)  # type: ignore[union-attr]
     for shard in range(workers):
         local = numpy.nonzero(shard_of_row == shard)[0]  # type: ignore[union-attr]
-        if not local.size:
-            continue
         sorted_keys, _ = shards[shard]
-        keys = probe_keys[local]
-        lo = numpy.searchsorted(sorted_keys, keys, side="left")  # type: ignore[union-attr]
-        hi = numpy.searchsorted(sorted_keys, keys, side="right")  # type: ignore[union-attr]
+        if not local.size or not len(sorted_keys):
+            continue
+        lo, hi = _np_locate(sorted_keys, probe_keys[local], span)
         keep[local[hi > lo]] = True
     return numpy.nonzero(keep)[0] + start  # type: ignore[union-attr]
 
 
-def _np_dedup_morsel(keys, start: int):
-    """Per-morsel first occurrences: (unique keys, their global row indices).
-
-    ``numpy.unique(return_index=True)`` returns, per distinct key, the index
-    of its *first* occurrence in the morsel; both arrays are aligned and
-    sorted by key value (the coordinator re-sorts kept indices into row
-    order).
-    """
+def _np_first_occurrences(keys, span: int):
+    """(distinct keys ascending, the index of each one's first occurrence)."""
     numpy = _numpy_module()
-    unique, first = numpy.unique(keys, return_index=True)  # type: ignore[union-attr]
+    if not len(keys):
+        return keys, numpy.empty(0, dtype=numpy.int64)  # type: ignore[union-attr]
+    sorted_keys, order = _sort_with_rows(keys, span)
+    starts = numpy.empty(len(keys), dtype=bool)  # type: ignore[union-attr]
+    starts[0] = True
+    numpy.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])  # type: ignore[union-attr]
+    return sorted_keys[starts], order[starts]
+
+
+def _np_dedup_morsel(keys, start: int, span: int):
+    """Per-morsel first occurrences: (distinct keys, their global rows)."""
+    unique, first = _np_first_occurrences(keys, span)
     return unique, first + start
 
 
@@ -502,94 +502,127 @@ def _np_select_morsel(columns, checks: Tuple[Tuple[int, int], ...], start: int):
 
 
 # ----------------------------------------------------------------------
-# pure-python kernels (module-level so the process pool can pickle them)
+# pure-python kernels (P = 1: threads cannot overlap them)
 # ----------------------------------------------------------------------
-def _py_build_shards(build_keys: Sequence[object], workers: int):
-    """Hash-shard the build side into per-shard ``key -> [row, ...]`` dicts.
-
-    ``hash`` of ints and int tuples is value-based, hence identical in
-    every worker process; bucket lists are appended in row order, matching
-    the serial :class:`IntIndex` bucket order.
-    """
-    shards: List[Dict[object, List[int]]] = [{} for _ in range(workers)]
-    for row, key in enumerate(build_keys):
-        buckets = shards[hash(key) % workers]
+def _py_buckets(keys: Sequence[object]) -> Dict[object, List[int]]:
+    """``key -> [row, ...]``, each bucket in row order."""
+    buckets: Dict[object, List[int]] = {}
+    for row, key in enumerate(keys):
         bucket = buckets.get(key)
         if bucket is None:
             buckets[key] = [row]
         else:
             bucket.append(row)
-    return shards
+    return buckets
 
 
-def _py_join_morsel(
-    probe_keys: Sequence[object],
-    start: int,
-    shards: Sequence[Dict[object, List[int]]],
-    workers: int,
+def _py_join(
+    left: EncodedRelation,
+    right: EncodedRelation,
+    left_key: Tuple[int, ...],
+    right_key: Tuple[int, ...],
 ) -> Tuple[List[int], List[int]]:
+    """(probe row, build row) index lists, each probe row's matches in
+    build row order.  The build buckets are cached per store, so a warm
+    scan — or the build side of a streamed join, probed once per batch —
+    computes its key column once."""
+    lookup = _cached(
+        right,
+        ("buckets", right_key),
+        None,
+        lambda: _py_buckets(right._key_column(right_key)),
+    ).get
     probe_indices: List[int] = []
     build_indices: List[int] = []
-    for offset, key in enumerate(probe_keys):
-        bucket = shards[hash(key) % workers].get(key)
+    for row, key in enumerate(left._key_column(left_key)):
+        bucket = lookup(key)
         if bucket:
-            probe_indices.extend([start + offset] * len(bucket))
+            probe_indices.extend([row] * len(bucket))
             build_indices.extend(bucket)
     return probe_indices, build_indices
 
 
-def _py_semijoin_morsel(
-    probe_keys: Sequence[object],
-    start: int,
-    shards: Sequence[Dict[object, List[int]]],
-    workers: int,
+def _py_semijoin(
+    left: EncodedRelation,
+    right: EncodedRelation,
+    left_key: Tuple[int, ...],
+    right_key: Tuple[int, ...],
 ) -> List[int]:
+    """The left rows with a partner; the build key set is cached like the
+    join's buckets (membership is all a semi-join needs)."""
+    members = _cached(
+        right, ("members", right_key), None, lambda: set(right._key_column(right_key))
+    )
     return [
-        start + offset
-        for offset, key in enumerate(probe_keys)
-        if key in shards[hash(key) % workers]
+        row for row, key in enumerate(left._key_column(left_key)) if key in members
     ]
 
 
-def _py_dedup_morsel(
-    keys: Sequence[object], start: int
-) -> Dict[object, int]:
-    """Per-morsel first occurrences, in first-occurrence (insertion) order."""
-    firsts: Dict[object, int] = {}
-    for offset, key in enumerate(keys):
-        if key not in firsts:
-            firsts[key] = start + offset
-    return firsts
+def _py_dedup(keys: Sequence[object], seen: Optional[Set[object]]) -> List[int]:
+    """The rows of first occurrences, ascending, skipping keys in ``seen``
+    (which then gains the kept keys).
+
+    First occurrences come from the reversed keys at C speed: each key's
+    last write is its earliest row.
+    """
+    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    if seen is not None:
+        firsts = {key: row for key, row in firsts.items() if key not in seen}
+        seen.update(firsts)
+    return sorted(firsts.values())
 
 
-def _py_select_morsel(
-    columns: Sequence[Sequence[int]],
-    checks: Tuple[Tuple[int, int], ...],
-    start: int,
-    length: int,
+def _py_select(
+    columns: Sequence[Sequence[int]], checks: Tuple[Tuple[int, int], ...]
 ) -> List[int]:
     if len(checks) == 1:
         position, code = checks[0]
-        column = columns[position]
-        return [start + i for i in range(length) if column[i] == code]
+        return [row for row, value in enumerate(columns[position]) if value == code]
+    length = len(columns[0])
     return [
-        start + i
-        for i in range(length)
-        if all(columns[position][i] == code for position, code in checks)
+        row
+        for row in range(length)
+        if all(columns[position][row] == code for position, code in checks)
     ]
 
 
 # ----------------------------------------------------------------------
 # Kernel entry points (coordinator side)
 # ----------------------------------------------------------------------
-def _applicable(probe: EncodedRelation, workers: int) -> bool:
-    return workers >= 2 and len(probe) >= PARALLEL_MIN_ROWS
+def _numpy_keys(
+    left: EncodedRelation,
+    right: EncodedRelation,
+    left_key: Tuple[int, ...],
+    right_key: Tuple[int, ...],
+):
+    """Packed numpy keys of both operands, the build token and the key
+    span, or ``None`` when the python kernels must run (python storage, or
+    a packing that would overflow ``int64``)."""
+    if not left.store.use_numpy or not right.store.use_numpy:
+        return None
+    base = _pack_base(left)
+    left_keys = _packed_keys(left, left_key, base)
+    right_keys = _packed_keys(right, right_key, base)
+    if left_keys is None or right_keys is None:
+        return None
+    return left_keys, right_keys, _pack_token(right_key, base), base ** len(right_key)
 
 
-def _python_pool(probe: EncodedRelation, workers: int) -> Optional[Executor]:
-    if len(probe) >= PROCESS_MIN_ROWS:
-        return _process_pool(workers)
-    return None
+def _np_shards(
+    right: EncodedRelation,
+    right_keys,
+    right_key: Tuple[int, ...],
+    workers: int,
+    token: int,
+    span: int,
+):
+    """The build side's hash shards at ``workers``, cached per store."""
+    return _cached(
+        right,
+        ("shards", right_key, workers),
+        token,
+        lambda: _np_build_shards(right_keys, workers, span),
+    )
 
 
 def _gather(
@@ -611,22 +644,25 @@ def _gather(
 def _meta(
     kernel: str,
     workers: int,
-    shard_sizes: Sequence[int],
+    shards: Sequence[Tuple[object, object]],
     bounds: Sequence[Tuple[int, int]],
     probe_rows: int,
     build_rows: int,
-) -> ParallelMeta:
+) -> Optional[ParallelMeta]:
+    """The layout record of a ``P ≥ 2`` run; ``None`` at ``P = 1``."""
+    if workers < 2:
+        return None
     return ParallelMeta(
         kernel,
         workers,
-        tuple(int(size) for size in shard_sizes),
+        tuple(len(keys) for keys, _ in shards),  # type: ignore[arg-type]
         tuple(stop - start for start, stop in bounds),
         probe_rows,
         build_rows,
     )
 
 
-def parallel_join(
+def sharded_join(
     left: EncodedRelation,
     right: EncodedRelation,
     left_key: Tuple[int, ...],
@@ -634,52 +670,37 @@ def parallel_join(
     residual_positions: Tuple[int, ...],
     schema: Sequence[Variable],
     workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel hash join, or ``None`` when serial should run.
+) -> KernelResult:
+    """The hash join on a non-empty shared key.
 
     ``left`` is the probe side (morsels), ``right`` the build side
     (shards); the output carries ``left``'s columns plus ``right``'s
-    residual columns under ``schema``, in exactly the serial
-    :meth:`EncodedRelation.join_index` row order.  Counts ``len(left)``
-    probes, matching the serial one-``get``-per-probe-row accounting.
+    residual columns under ``schema``, each probe row followed by its
+    matches in build row order.  Counts ``len(left)`` probes.
     """
-    if not _applicable(left, workers) or not left_key:
-        return None
-    bounds = _morsel_bounds(len(left), workers)
-    if left.store.use_numpy:
-        base = _pack_base(left)
-        left_keys = _packed_keys(left, left_key, base)
-        right_keys = _packed_keys(right, right_key, base)
-        if left_keys is None or right_keys is None:
-            return None
-        shards = _shards_for(
-            right, right_keys, right_key, workers, _pack_token(right_key, base)
-        )
+    keys = _numpy_keys(left, right, left_key, right_key)
+    meta = None
+    if keys is None:
+        probe_indices, build_indices = _py_join(left, right, left_key, right_key)
+    else:
+        left_keys, right_keys, token, span = keys
+        workers = _shard_count(len(left), workers)
+        bounds = _morsel_bounds(len(left), workers)
+        shards = _np_shards(right, right_keys, right_key, workers, token, span)
         results = _run_tasks(
             [
-                (_np_join_morsel, (left_keys[start:stop], start, shards, workers))
+                (
+                    _np_join_morsel,
+                    (left_keys[start:stop], start, shards, workers, span),
+                )
                 for start, stop in bounds
             ],
-            _thread_pool(workers),
+            workers,
         )
         numpy = _numpy_module()
         probe_indices = numpy.concatenate([r[0] for r in results])  # type: ignore[union-attr]
         build_indices = numpy.concatenate([r[1] for r in results])  # type: ignore[union-attr]
-        shard_sizes = [len(keys) for keys, _ in shards]
-    else:
-        left_keys = left._key_column(left_key)
-        right_keys = right._key_column(right_key)
-        shards = _shards_for(right, right_keys, right_key, workers, 0)
-        results = _run_tasks(
-            [
-                (_py_join_morsel, (left_keys[start:stop], start, shards, workers))
-                for start, stop in bounds
-            ],
-            _python_pool(left, workers),
-        )
-        probe_indices = [i for part, _ in results for i in part]
-        build_indices = [i for _, part in results for i in part]
-        shard_sizes = [sum(len(bucket) for bucket in shard.values()) for shard in shards]
+        meta = _meta("join", workers, shards, bounds, len(left), len(right))
     use_numpy = left.store.use_numpy
     columns = [
         _take_column(column, probe_indices, use_numpy)
@@ -692,157 +713,124 @@ def parallel_join(
     store = EncodedStore(columns, len(probe_indices), use_numpy)
     result = EncodedRelation(schema, store, left.encoder)
     Partition.add_probes(len(left))
-    return result, _meta("join", workers, shard_sizes, bounds, len(left), len(right))
+    return result, meta
 
 
-def parallel_semijoin(
+def sharded_semijoin(
     left: EncodedRelation,
     right: EncodedRelation,
     left_key: Tuple[int, ...],
     right_key: Tuple[int, ...],
     workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel semi-join ``left ⋉ right`` (membership uncounted)."""
-    if not _applicable(left, workers) or not left_key:
-        return None
-    bounds = _morsel_bounds(len(left), workers)
-    if left.store.use_numpy:
-        base = _pack_base(left)
-        left_keys = _packed_keys(left, left_key, base)
-        right_keys = _packed_keys(right, right_key, base)
-        if left_keys is None or right_keys is None:
-            return None
-        shards = _shards_for(
-            right, right_keys, right_key, workers, _pack_token(right_key, base)
-        )
-        results = _run_tasks(
-            [
-                (_np_semijoin_morsel, (left_keys[start:stop], start, shards, workers))
-                for start, stop in bounds
-            ],
-            _thread_pool(workers),
-        )
-        numpy = _numpy_module()
-        indices = numpy.concatenate(results)  # type: ignore[union-attr]
-        shard_sizes = [len(keys) for keys, _ in shards]
+) -> KernelResult:
+    """The semi-join ``left ⋉ right`` on a non-empty shared key
+    (membership uncounted)."""
+    keys = _numpy_keys(left, right, left_key, right_key)
+    meta = None
+    if keys is None:
+        indices = _py_semijoin(left, right, left_key, right_key)
     else:
-        left_keys = left._key_column(left_key)
-        right_keys = right._key_column(right_key)
-        shards = _shards_for(right, right_keys, right_key, workers, 0)
+        left_keys, right_keys, token, span = keys
+        workers = _shard_count(len(left), workers)
+        bounds = _morsel_bounds(len(left), workers)
+        shards = _np_shards(right, right_keys, right_key, workers, token, span)
         results = _run_tasks(
             [
-                (_py_semijoin_morsel, (left_keys[start:stop], start, shards, workers))
+                (
+                    _np_semijoin_morsel,
+                    (left_keys[start:stop], start, shards, workers, span),
+                )
                 for start, stop in bounds
             ],
-            _python_pool(left, workers),
+            workers,
         )
-        indices = [i for part in results for i in part]
-        shard_sizes = [sum(len(bucket) for bucket in shard.values()) for shard in shards]
+        indices = _numpy_module().concatenate(results)  # type: ignore[union-attr]
+        meta = _meta("semijoin", workers, shards, bounds, len(left), len(right))
     result = _gather(left, range(len(left.schema)), indices, left.schema)
-    return result, _meta(
-        "semijoin", workers, shard_sizes, bounds, len(left), len(right)
-    )
+    return result, meta
 
 
-def parallel_project(
+def sharded_project(
     relation: EncodedRelation,
     schema: Sequence[Variable],
     positions: Tuple[int, ...],
     workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel dedup projection (``Project`` and ``Distinct``).
+    seen: Optional[Set[object]] = None,
+) -> KernelResult:
+    """The dedup projection (``Project`` and ``Distinct``).
 
-    Workers find per-morsel first occurrences; the coordinator merges in
+    Morsels find their first occurrences; the coordinator merges them in
     morsel order against the keys seen in earlier morsels, so the kept row
-    indices are exactly the global first occurrences, in row order — the
-    serial output order.
+    indices are exactly the global first occurrences, in row order.
+
+    ``seen`` is the key set a streaming projection carries across its
+    batches (each batch one morsel): keys in it are dropped, and the kept
+    keys are added to it.  It holds python keys (an int per row for one
+    column, an int tuple otherwise) — unlike packed numpy keys they do not
+    depend on the encoder size, which may grow between two batches.
     """
-    if not _applicable(relation, workers) or not positions:
-        return None
-    bounds = _morsel_bounds(len(relation), workers)
-    if relation.store.use_numpy:
-        keys = _packed_keys(relation, positions, _pack_base(relation))
-        if keys is None:
-            return None
+    packed = None
+    if relation.store.use_numpy and positions and seen is None:
+        base = _pack_base(relation)
+        packed = _packed_keys(relation, positions, base)
+    meta = None
+    if packed is None:
+        indices = _py_dedup(relation._key_column(positions), seen)
+    else:
+        span = base ** len(positions)
+        workers = _shard_count(len(relation), workers)
+        bounds = _morsel_bounds(len(relation), workers)
         results = _run_tasks(
             [
-                (_np_dedup_morsel, (keys[start:stop], start))
+                (_np_dedup_morsel, (packed[start:stop], start, span))
                 for start, stop in bounds
             ],
-            _thread_pool(workers),
+            workers,
         )
         numpy = _numpy_module()
-        # One global merge, independent of morsel count.  Per-morsel first
-        # occurrences are concatenated in morsel order, so for each key the
-        # earliest concatenation position lies in the earliest morsel that
-        # saw it — whose recorded row index IS the global first occurrence.
-        # ``unique(return_index=True)`` sorts stably, so ``first_pos`` picks
-        # exactly those earliest positions; sorting the gathered row
-        # indices restores serial row order.
-        all_keys = numpy.concatenate([unique for unique, _ in results])  # type: ignore[union-attr]
-        all_first = numpy.concatenate([first for _, first in results])  # type: ignore[union-attr]
-        _, first_pos = numpy.unique(all_keys, return_index=True)  # type: ignore[union-attr]
-        indices = all_first[first_pos]
+        if len(results) == 1:
+            indices = results[0][1]  # one morsel: already the global firsts
+        else:
+            # One global merge, independent of morsel count.  Per-morsel
+            # first occurrences are concatenated in morsel order, so each
+            # key's earliest concatenation position lies in the earliest
+            # morsel that saw it — whose recorded row IS the global first
+            # occurrence.
+            all_keys = numpy.concatenate([unique for unique, _ in results])  # type: ignore[union-attr]
+            all_first = numpy.concatenate([first for _, first in results])  # type: ignore[union-attr]
+            _, first_pos = _np_first_occurrences(all_keys, span)
+            indices = all_first[first_pos]
         indices.sort()
-    else:
-        keys = relation._key_column(positions)
-        results = _run_tasks(
-            [
-                (_py_dedup_morsel, (keys[start:stop], start))
-                for start, stop in bounds
-            ],
-            _python_pool(relation, workers),
-        )
-        seen_set: set = set()
-        indices = []
-        for firsts in results:
-            for key, index in firsts.items():
-                if key not in seen_set:
-                    seen_set.add(key)
-                    indices.append(index)
+        meta = _meta("project", workers, (), bounds, len(relation), 0)
     result = _gather(relation, positions, indices, schema)
-    return result, _meta(
-        "project", workers, (), bounds, len(relation), 0
-    )
+    return result, meta
 
 
-def parallel_select(
+def sharded_select(
     relation: EncodedRelation,
     checks: Tuple[Tuple[int, int], ...],
     workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel equality selection (order trivially preserved)."""
-    if not _applicable(relation, workers) or not checks:
-        return None
+) -> KernelResult:
+    """The equality selection (order trivially preserved)."""
+    if not checks:
+        return relation.fresh_copy(), None
+    if not relation.store.use_numpy:
+        indices = _py_select(relation.store.columns, checks)
+        result = _gather(relation, range(len(relation.schema)), indices, relation.schema)
+        return result, None
+    numpy = _numpy_module()
+    workers = _shard_count(len(relation), workers)
     bounds = _morsel_bounds(len(relation), workers)
-    if relation.store.use_numpy:
-        numpy = _numpy_module()
-        columns = [
-            numpy.asarray(column) for column in relation.store.columns  # type: ignore[union-attr]
-        ]
-        results = _run_tasks(
-            [
-                (
-                    _np_select_morsel,
-                    ([c[start:stop] for c in columns], checks, start),
-                )
-                for start, stop in bounds
-            ],
-            _thread_pool(workers),
-        )
-        indices = numpy.concatenate(results)  # type: ignore[union-attr]
-    else:
-        columns = list(relation.store.columns)
-        results = _run_tasks(
-            [
-                (
-                    _py_select_morsel,
-                    ([c[start:stop] for c in columns], checks, start, stop - start),
-                )
-                for start, stop in bounds
-            ],
-            _python_pool(relation, workers),
-        )
-        indices = [i for part in results for i in part]
+    columns = [
+        numpy.asarray(column) for column in relation.store.columns  # type: ignore[union-attr]
+    ]
+    results = _run_tasks(
+        [
+            (_np_select_morsel, ([c[start:stop] for c in columns], checks, start))
+            for start, stop in bounds
+        ],
+        workers,
+    )
+    indices = numpy.concatenate(results)  # type: ignore[union-attr]
     result = _gather(relation, range(len(relation.schema)), indices, relation.schema)
     return result, _meta("select", workers, (), bounds, len(relation), 0)

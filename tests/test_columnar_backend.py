@@ -43,6 +43,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.encoding import BACKEND_ENV, EncodedRelation, NUMPY_ENV
 from repro.evaluation.operators import BATCH_ROWS
+from repro.evaluation.parallel import sharded_join, sharded_semijoin
 from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import yannakakis_scaling_workload
@@ -301,14 +302,19 @@ def _encoded_pair():
 
 def test_semijoin_membership_is_uncounted():
     left, right = _encoded_pair()
-    result, probes = _probes(lambda: left.semijoin(right))
+    (result, _), probes = _probes(
+        lambda: sharded_semijoin(left, right, (1,), (0,), 1)
+    )
     assert probes == 0
     assert len(result) == 30  # every y ∈ {0,1,2} matches
 
 
 def test_join_counts_one_probe_per_left_row():
     left, right = _encoded_pair()
-    result, probes = _probes(lambda: left.join(right))
+    schema = left.schema + right.schema[1:]
+    (result, _), probes = _probes(
+        lambda: sharded_join(left, right, (1,), (0,), (1,), schema, 1)
+    )
     assert probes == len(left)
     assert len(result) == 30 * 4  # each of the 3 keys has 4 right rows
 
@@ -318,7 +324,7 @@ def test_cross_product_counts_no_probes():
     x, z = Variable("x"), Variable("z")
     left = Relation((x,), [(Constant(i),) for i in range(5)]).encoded(encoder)
     right = Relation((z,), [(Constant(-i),) for i in range(4)]).encoded(encoder)
-    result, probes = _probes(lambda: left.join(right))
+    result, probes = _probes(lambda: left.cross_product(right, (0,), (x, z)))
     assert probes == 0
     assert len(result) == 20
 
@@ -397,8 +403,8 @@ def test_relation_operator_outputs_never_alias_stats_caches():
 
 def test_encoded_operator_outputs_get_fresh_caches():
     left, right = _encoded_pair()
-    left.key_index((0,))  # populate a store cache
-    out = left.semijoin(right)
+    left.partition([Variable("x")])  # populate a store cache
+    out, _ = sharded_semijoin(left, right, (1,), (0,), 1)
     assert out.store is not left.store
     assert out.store.caches is not left.store.caches
 

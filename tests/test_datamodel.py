@@ -1,5 +1,10 @@
 """Tests for the relational data model (terms, atoms, schemas, instances)."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.datamodel import (
@@ -37,6 +42,27 @@ class TestTerms:
     def test_terms_are_hashable(self):
         bag = {Constant("a"), Variable("a"), Null("a")}
         assert len(bag) == 3
+
+    def test_constant_hash_is_cached_and_survives_pickling(self):
+        # The cached hash keeps the dataclass value (set iteration orders
+        # depend on it), and pickling rebuilds it: str hashes are salted
+        # per process, so a pickled hash would be stale elsewhere.
+        constant = Constant(("a", 1))
+        assert hash(constant) == hash((("a", 1),))
+        clone = pickle.loads(pickle.dumps(constant))
+        assert clone == constant and hash(clone) == hash(constant)
+        foreign = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys; from repro.datamodel "
+             "import Constant; sys.stdout.buffer.write(pickle.dumps(Constant('a')))"],
+            env={**os.environ, "PYTHONHASHSEED": "1",
+                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, check=True,
+        ).stdout
+        assert hash(pickle.loads(foreign)) == hash(Constant("a"))
+        assert Constant("a") < Constant("b")
+        assert repr(constant) == "Constant(('a', 1))"
+        with pytest.raises(AttributeError):
+            constant.name = "b"  # type: ignore[misc]
 
     def test_factory_produces_distinct_terms(self):
         factory = TermFactory()

@@ -7,13 +7,10 @@ import pytest
 from repro.datamodel import Atom, Constant, Database, Instance, Predicate, Variable
 from repro.evaluation import (
     boolean_with_plan,
-    estimate_cardinality,
     evaluate_generic,
     evaluate_with_plan,
     execute_plan,
-    plan_by_cardinality,
     plan_greedy,
-    plan_in_query_order,
 )
 from repro.parser import parse_query
 from repro.workloads.generators import (
@@ -22,6 +19,12 @@ from repro.workloads.generators import (
     random_acyclic_query,
     random_database,
     random_schema,
+)
+
+from helpers.legacy_planners import (
+    estimate_cardinality,
+    plan_by_cardinality,
+    plan_in_query_order,
 )
 
 

@@ -345,6 +345,13 @@ class TestResolvePlanner:
         with pytest.raises(ValueError, match="unknown planner"):
             resolve_planner("optimal")
 
+    @pytest.mark.parametrize("name", ["heuristic", "cardinality", "query-order"])
+    def test_legacy_planner_names_are_rejected(self, name):
+        # The legacy planners are test-only baselines now
+        # (tests/helpers/legacy_planners.py); only a callable selects them.
+        with pytest.raises(ValueError, match="expected 'dp' or 'greedy'"):
+            resolve_planner(name)
+
 
 # ----------------------------------------------------------------------
 # Differentials: every planner and engine agrees with generic join
